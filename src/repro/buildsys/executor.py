@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.buildsys.cache import ArtifactCache
 from repro.buildsys.graph import BuildGraph
-from repro.buildsys.hashing import TargetHasher, incremental_hashes
+from repro.buildsys.hashing import DigestMemo, TargetHasher, incremental_hashes
 from repro.buildsys.loader import load_build_graph, reload_packages
 from repro.buildsys.steps import StepResult, evaluate_step
 from repro.obs.recorder import NULL_RECORDER, Recorder
@@ -99,6 +99,12 @@ class BuildContext:
     derivation chain back to the root context: any target whose digest can
     differ from the root's is in it (digests outside it were copied
     verbatim by the seeded hasher at every step).  ``None`` marks a root.
+
+    Every context derived from one root shares the root's
+    :class:`~repro.buildsys.hashing.DigestMemo`, so a target digest the
+    speculation prefix tree needs in many sibling snapshots is computed
+    once per base.  A new root (:meth:`load`, :meth:`as_root`) starts an
+    empty memo.
     """
 
     __slots__ = (
@@ -107,7 +113,9 @@ class BuildContext:
         "hashes",
         "dirty_since_base",
         "rehashed",
+        "digests_served",
         "depth",
+        "digest_memo",
         "_topo_holder",
     )
 
@@ -120,15 +128,21 @@ class BuildContext:
         rehashed: int = 0,
         depth: int = 0,
         topo_holder: Optional[list] = None,
+        digest_memo: Optional[DigestMemo] = None,
+        digests_served: int = 0,
     ) -> None:
         self.snapshot = snapshot
         self.graph = graph
         self.hashes = hashes
         self.dirty_since_base = dirty_since_base
-        #: Digests recomputed when this context was derived (0 for roots).
+        #: Digests computed when this context was derived (0 for roots).
         self.rehashed = rehashed
-        #: Overlay layers between ``snapshot`` and the nearest plain dict.
+        #: Digests the derivation took from ``digest_memo`` instead.
+        self.digests_served = digests_served
+        #: Derivations since ``snapshot`` was last a plain dict; bounds the
+        #: size of the (collapsed) overlay delta behind it.
         self.depth = depth
+        self.digest_memo = digest_memo if digest_memo is not None else DigestMemo()
         # One-element list shared by every context holding the *same* graph
         # object, so the topological position index is computed at most
         # once per distinct graph.
@@ -153,7 +167,7 @@ class BuildContext:
         touched = set(touched_paths)
         graph = reload_packages(self.graph, snapshot, touched)
         hashes, dirty, computed = incremental_hashes(
-            self.graph, self.hashes, graph, snapshot, touched
+            self.graph, self.hashes, graph, snapshot, touched, self.digest_memo
         )
         accumulated = (
             frozenset(dirty)
@@ -168,15 +182,19 @@ class BuildContext:
             rehashed=computed,
             depth=self.depth + 1,
             topo_holder=self._topo_holder if graph is self.graph else None,
+            digest_memo=self.digest_memo,
+            # Every closure digest was either computed or served.
+            digests_served=len(dirty) - computed,
         )
 
     def as_root(self, flatten_above_depth: Optional[int] = None) -> "BuildContext":
         """This context re-labelled as a derivation root (new mainline base).
 
-        ``flatten_above_depth`` bounds overlay-chain depth: when the chain
-        behind ``snapshot`` is deeper, the snapshot is materialized into a
-        plain dict so per-file lookups stay O(1) as the base advances
-        commit after commit (amortized O(repo / flatten_above_depth)).
+        The root starts an empty digest memo.  ``flatten_above_depth``
+        bounds the overlay delta: when more derivations than that stand
+        between ``snapshot`` and a plain dict, the snapshot is materialized
+        so the delta does not grow commit after commit (amortized
+        O(repo / flatten_above_depth)).
         """
         snapshot: Mapping[Path, str] = self.snapshot
         depth = self.depth

@@ -24,12 +24,17 @@ not the whole repo):
   the dirty targets' reverse-dependency closure — everything outside that
   closure reuses the seed digest verbatim (skyframe-style dirty-set
   invalidation).  :func:`dirty_targets` derives a sound dirty set from the
-  touched paths plus structural diffs between two graphs.
+  touched paths plus structural diffs between two graphs;
+* a hasher given a :class:`DigestMemo` looks each digest up by exactly
+  its inputs before computing it, so sibling snapshots that share a
+  target's sources and dependency digests (speculation prefixes over one
+  base) pay for that digest once.
 """
 
 from __future__ import annotations
 
 import hashlib
+from itertools import repeat
 from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.buildsys.graph import BuildGraph
@@ -59,6 +64,8 @@ def dirty_targets(
     dirty: Set[TargetName] = set()
     for path in touched_paths:
         dirty.update(graph.targets_owning(path))
+    if graph is base_graph:
+        return dirty  # no BUILD file touched: no declaration can differ
     for target in graph:
         if target.name in dirty:
             continue
@@ -73,6 +80,23 @@ def dirty_targets(
     return dirty
 
 
+class DigestMemo(Dict[tuple, str]):
+    """Algorithm-1 digests keyed by exactly their inputs.
+
+    A key is ``(target, contents, dep_digests)``: the :class:`Target`
+    itself (label, sources, deps and steps), the content of each source as
+    the snapshot holds it (``None`` when absent), and the digest of each
+    dependency, in declaration order.  The digest is a pure function of
+    those inputs, so a hit returns the very string a recomputation would
+    produce, whichever snapshot asked.  The key holds the objects, never
+    their ``id()``, so a recycled address cannot alias a dead entry.
+
+    One memo serves every context derived from one mainline base (see
+    :class:`repro.buildsys.executor.BuildContext`); the build controller
+    empties it when the base advances.
+    """
+
+
 class TargetHasher:
     """Hashes targets of one graph against one file snapshot.
 
@@ -81,10 +105,12 @@ class TargetHasher:
     reverse-dependency closure are taken from the seed map — the caller
     guarantees the seeds were computed on a graph/snapshot pair that
     differs from this one only at the dirty targets (see
-    :func:`dirty_targets`).
+    :func:`dirty_targets`).  With ``memo``, every digest still to be
+    produced is first looked up in it by its inputs.
 
-    ``computed`` counts digests actually recomputed; ``dirty_closure`` is
-    the set a seeded hasher will recompute (empty when unseeded).
+    ``computed`` counts digests actually computed (not served from
+    ``memo``); ``dirty_closure`` is the set a seeded hasher will recompute
+    (empty when unseeded).
     """
 
     def __init__(
@@ -93,10 +119,12 @@ class TargetHasher:
         files: Mapping[Path, str],
         seed_hashes: Optional[Mapping[TargetName, str]] = None,
         dirty: Optional[Iterable[TargetName]] = None,
+        memo: Optional[DigestMemo] = None,
     ) -> None:
         self._graph = graph
         self._files = files
         self._memo: Dict[TargetName, str] = {}
+        self._digest_memo = memo
         self.computed = 0
         self.dirty_closure: Set[TargetName] = set()
         if seed_hashes is not None:
@@ -116,26 +144,33 @@ class TargetHasher:
         hasher.update(payload)
 
     def _digest(self, target: Target) -> str:
+        contents = tuple(map(self._files.get, target.srcs))
+        dep_digests = tuple(
+            map(self._memo.get, target.deps, repeat("<unknown>"))
+        )
+        if self._digest_memo is not None:
+            key = (target, contents, dep_digests)
+            digest = self._digest_memo.get(key)
+            if digest is not None:
+                return digest
         hasher = hashlib.sha256()
         self._feed(hasher, b"name", target.name.encode("utf-8"))
         for kind in target.steps:
             self._feed(hasher, b"step", kind.value.encode("utf-8"))
-        for src in target.srcs:
-            content: Optional[str] = self._files.get(src)
+        for src, content in zip(target.srcs, contents):
             self._feed(hasher, b"src", src.encode("utf-8"))
             if content is None:
                 self._feed(hasher, b"absent", _MISSING)
             else:
                 self._feed(hasher, b"content", content.encode("utf-8"))
-        for dep in target.deps:
+        for dep, dep_digest in zip(target.deps, dep_digests):
             self._feed(hasher, b"dep", dep.encode("utf-8"))
-            self._feed(
-                hasher,
-                b"dephash",
-                self._memo.get(dep, "<unknown>").encode("ascii"),
-            )
+            self._feed(hasher, b"dephash", dep_digest.encode("ascii"))
+        digest = hasher.hexdigest()
         self.computed += 1
-        return hasher.hexdigest()
+        if self._digest_memo is not None:
+            self._digest_memo[key] = digest
+        return digest
 
     def _compute(self, names: Iterable[TargetName]) -> None:
         """Digest ``names`` (skipping memoized ones) dependencies-first.
@@ -175,14 +210,18 @@ def incremental_hashes(
     graph: BuildGraph,
     files: Mapping[Path, str],
     touched_paths: Iterable[Path],
+    memo: Optional[DigestMemo] = None,
 ) -> Tuple[Dict[TargetName, str], Set[TargetName], int]:
     """Rehash ``graph`` reusing ``base_hashes`` where provably unchanged.
 
     Returns ``(hashes, dirty_closure, computed)``: the full hash map, the
     set of targets that had to be rehashed (dirty seeds plus their
-    reverse-dependency closure), and how many digests were computed.
+    reverse-dependency closure), and how many of those digests were
+    computed; ``memo`` (see :class:`TargetHasher`) served the rest.
     """
     seeds = dirty_targets(base_graph, graph, touched_paths)
-    hasher = TargetHasher(graph, files, seed_hashes=base_hashes, dirty=seeds)
+    hasher = TargetHasher(
+        graph, files, seed_hashes=base_hashes, dirty=seeds, memo=memo
+    )
     hashes = hasher.all_hashes()
     return hashes, hasher.dirty_closure, hasher.computed

@@ -142,8 +142,10 @@ class ExecutorReuseStats:
     prefix_hits: int = 0
     #: Prefix states derived because no cached ancestor covered them.
     prefix_misses: int = 0
-    #: Target digests recomputed by incremental derivations.
+    #: Target digests computed by incremental derivations.
     targets_rehashed: int = 0
+    #: Dirty-closure digests served from the base's digest memo instead.
+    digests_served: int = 0
 
     @property
     def prefix_hit_rate(self) -> float:
@@ -154,7 +156,13 @@ class ExecutorReuseStats:
 class _ExecutorMetrics:
     """Hoisted recorder handles for the incremental-execution counters."""
 
-    __slots__ = ("base_context_reused", "prefix_hits", "prefix_misses")
+    __slots__ = (
+        "base_context_reused",
+        "prefix_hits",
+        "prefix_misses",
+        "digests_computed",
+        "digests_served",
+    )
 
     def __init__(self, recorder: Recorder) -> None:
         self.base_context_reused = recorder.counter(
@@ -168,6 +176,15 @@ class _ExecutorMetrics:
         self.prefix_misses = recorder.counter(
             "executor_prefix_misses_total",
             "Speculation-prefix derivations the cache could not serve.",
+        )
+        self.digests_computed = recorder.counter(
+            "executor_digests_computed_total",
+            "Target digests computed while deriving build contexts.",
+        )
+        self.digests_served = recorder.counter(
+            "executor_digests_served_total",
+            "Target digests a context derivation took from the base's "
+            "digest memo instead of computing them.",
         )
 
 
@@ -199,8 +216,8 @@ class FullStackBuildController(BuildController):
 
     #: Keep at most this many base contexts (mainline heads) memoized.
     BASE_CONTEXT_CAPACITY = 4
-    #: Materialize the base snapshot into a plain dict once its overlay
-    #: chain (one layer per landed commit) exceeds this depth.
+    #: Materialize the base snapshot into a plain dict once more than this
+    #: many landed commits have been folded into its overlay delta.
     BASE_FLATTEN_DEPTH = 8
 
     def __init__(
@@ -296,6 +313,9 @@ class FullStackBuildController(BuildController):
                     self.base_commit_id,
                     advanced.as_root(self.BASE_FLATTEN_DEPTH),
                 )
+            if old_ctx is not None:
+                # No build merges onto the old head again: its digests die.
+                old_ctx.digest_memo.clear()
         if self.recorder.enabled:
             self.recorder.counter(
                 "service_mainline_commits_total",
@@ -337,6 +357,10 @@ class FullStackBuildController(BuildController):
         """Fold one patch onto a context; raises PatchConflictError."""
         derived = context.derive(patch.apply(context.snapshot), patch.paths)
         self.stats.targets_rehashed += derived.rehashed
+        self.stats.digests_served += derived.digests_served
+        if self._metrics is not None:
+            self._metrics.digests_computed.inc(derived.rehashed)
+            self._metrics.digests_served.inc(derived.digests_served)
         return derived
 
     def _prefix_put(

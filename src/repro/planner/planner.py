@@ -846,9 +846,14 @@ class PlannerEngine:
         return decisions
 
     def _decisive_key(self, change_id: ChangeId) -> Optional[BuildKey]:
-        """The build that settles ``change_id``, once all ancestors decided."""
+        """The build that settles ``change_id``, once all ancestors decided.
+
+        Ancestors are walked newest-first: the oldest ones are the likeliest
+        to be decided already, so a change still waiting on a pending
+        ancestor is usually recognized at the first step.
+        """
         committed: Set[ChangeId] = set()
-        for ancestor_id in self.ancestors[change_id]:
+        for ancestor_id in reversed(self.ancestors[change_id]):
             verdict = self.decided.get(ancestor_id)
             if verdict is None:
                 return None  # an ancestor is still pending

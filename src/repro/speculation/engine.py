@@ -5,14 +5,17 @@ across all pending changes (section 3.2).  The engine:
 
 1. estimates ``P_commit`` for every pending change (Equations 1–5, with
    decided changes contributing certainty);
-2. creates one lazy :class:`~repro.speculation.tree.SubsetEnumerator` per
-   pending change — each yields that change's builds in decreasing value;
-3. merges the enumerators with a max-heap, popping globally best builds
-   until the budget is filled or values vanish.
+2. seeds a max-heap with each pending change's likeliest build, whose
+   value is an O(k) product (:func:`~repro.speculation.tree.first_node_probability`);
+3. pops globally best builds until the budget is filled or values
+   vanish.  Only when the heap pops a change's first node does the engine
+   build that change's lazy :class:`~repro.speculation.tree.SubsetEnumerator`,
+   which yields the change's remaining builds in decreasing value.
 
-Memory stays O(pending changes + budget): only one frontier node per
-enumerator lives in the merge heap (the greedy best-first property called
-out in section 7.1).
+Memory stays O(pending changes + budget): one frontier node per change
+lives in the merge heap (the greedy best-first property called out in
+section 7.1), and the budget is worker capacity, so most changes never
+get an enumerator at all.
 
 Selection is *incremental across epochs*.  The engine fingerprints each
 round's inputs — per pending change its dynamic speculation counters,
@@ -21,26 +24,35 @@ budget — and
 
 * returns the previous selection outright when nothing changed
   (``skipped_replans_total``);
-* otherwise re-estimates ``P_commit`` only for the downstream cone of
-  the changes whose inputs moved, reusing every other value bit-for-bit
-  (``commit_prob_reused_total``);
-* carries :class:`SubsetEnumerator` heap state across epochs whenever a
-  change's ``(pending ancestors, probability slice, known committed,
-  benefit)`` inputs are unchanged, so already-expanded frontier nodes are
-  replayed instead of regenerated.
+* otherwise computes the *dirty cone* once — the changes whose inputs
+  moved plus everything downstream of them — and re-estimates
+  ``P_commit`` only inside it, reusing every other value bit-for-bit
+  (``commit_prob_reused_total``).  Each change keeps its
+  ``P_conf(ancestor, change)`` vector beside its ancestor list, so the
+  re-sweep makes no predictor call for a pair it has seen;
+* reuses, untouched, the first-node value and any enumerator (with its
+  memoized prefix and heap state) of every change whose own inputs did
+  not move and whose ancestors' ``P_commit`` came out unchanged — every
+  change outside the cone, and many inside it.  The others recompute
+  their ``(pending ancestors, probability slice, known committed,
+  benefit)`` signature and keep both when it came out equal.
 
 Incremental selection is bit-identical to from-scratch selection: every
 reused value was produced by the same deterministic recurrence the
-from-scratch path would re-run.  This assumes the predictor is
+from-scratch path would re-run, and the heap orders entries by
+``(value, queue position)`` only.  This assumes the predictor is
 deterministic in ``(change id, speculation counters)`` for ``p_success``
 and in the id pair for ``p_conflict`` — true of every predictor in this
-repo (the learned one caches on exactly those keys).
+repo (the learned one caches on exactly those keys) — and that the
+benefit function is a pure function of the change.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import is_
 from typing import (
     Callable,
     Dict,
@@ -61,12 +73,17 @@ from repro.obs.registry import UNIT_BUCKETS, MetricsRegistry
 from repro.predictor.predictors import Predictor
 from repro.speculation.batching import BatchPlan, plan_batches
 from repro.speculation.probability import (
+    ConflictVectors,
     conditional_success,
     dirty_cone,
     estimate_commit_probabilities,
     estimate_commit_probabilities_incremental,
 )
-from repro.speculation.tree import SpeculationNode, SubsetEnumerator
+from repro.speculation.tree import (
+    SpeculationNode,
+    SubsetEnumerator,
+    first_node_probability,
+)
 from repro.types import BuildKey, ChangeId
 
 #: Benefit assigned to a build; the paper uses 1 for all builds but allows
@@ -126,13 +143,15 @@ class SpeculationEngineStats:
         "enumerators_reused": (
             "speculation_enumerators_reused_total",
             None,
-            "Subset enumerators carried across epochs with heap state "
-            "intact.",
+            "Merge-heap pops of a change's first node answered by an "
+            "enumerator carried from an earlier epoch, heap state intact.",
         ),
         "enumerators_rebuilt": (
             "speculation_enumerators_rebuilt_total",
             None,
-            "Subset enumerators (re)built because their inputs changed.",
+            "Merge-heap pops of a change's first node that had to build "
+            "its enumerator (new change, or its enumerator inputs moved). "
+            "Changes whose first node is never popped build none.",
         ),
         "nodes_replayed": (
             "speculation_nodes_replayed_total",
@@ -230,6 +249,12 @@ class _SelectionMetrics:
 #: speculations_failed, frozen ancestor tuple, ancestor decided statuses).
 _ChangeInputs = Tuple[int, int, Tuple[ChangeId, ...], Tuple[Optional[bool], ...]]
 
+#: Per-change enumerator inputs: (pending ancestors, their P_commit,
+#: known-committed ancestors, benefit).
+_EnumeratorSignature = Tuple[
+    Tuple[ChangeId, ...], Tuple[float, ...], FrozenSet[ChangeId], float
+]
+
 
 def unit_benefit(change) -> float:
     """The default benefit function: every change is worth 1.0.
@@ -267,15 +292,20 @@ class SpeculationEngine:
         #: Last round's per-change inputs and P_commit values.
         self._prev_inputs: Dict[ChangeId, _ChangeInputs] = {}
         self._prev_probs: Dict[ChangeId, float] = {}
-        self._seen_round = False
-        #: Enumerators carried across epochs, with their input signature.
+        #: Per change: its enumerator input signature, the value of its
+        #: first node under that signature, and its enumerator once the
+        #: merge heap has popped that node.
+        self._enum_signatures: Dict[ChangeId, _EnumeratorSignature] = {}
+        self._first_values: Dict[ChangeId, float] = {}
         self._enumerators: Dict[ChangeId, SubsetEnumerator] = {}
-        self._enum_signatures: Dict[ChangeId, tuple] = {}
         #: Predictor answers already paid for: per-change P_succ keyed by
         #: the speculation counters it was computed under, and per
         #: (ancestor, change) conflict probabilities.
         self._p_success: Dict[ChangeId, Tuple[Tuple[int, int], float]] = {}
         self._p_conflict: Dict[ChangeId, Dict[ChangeId, float]] = {}
+        #: The same conflict probabilities as vectors aligned with each
+        #: change's frozen ancestor tuple, for the sweep.
+        self._conflict_vectors: ConflictVectors = {}
 
     def bind_recorder(self, recorder: Recorder) -> None:
         """Attach an observability recorder (planner-injected)."""
@@ -291,11 +321,12 @@ class SpeculationEngine:
         self._prev_selection = None
         self._prev_inputs = {}
         self._prev_probs = {}
-        self._seen_round = False
-        self._enumerators = {}
         self._enum_signatures = {}
+        self._first_values = {}
+        self._enumerators = {}
         self._p_success = {}
         self._p_conflict = {}
+        self._conflict_vectors = {}
 
     # -- probability plumbing ------------------------------------------------
 
@@ -395,7 +426,7 @@ class SpeculationEngine:
                 record.speculations_succeeded if record is not None else 0,
                 record.speculations_failed if record is not None else 0,
                 ancs,
-                tuple(decided.get(a) for a in ancs),
+                tuple(map(decided.get, ancs)),
             )
         return inputs
 
@@ -462,19 +493,43 @@ class SpeculationEngine:
         for change_id, value in zip(needed_ids, values):
             self._p_success[change_id] = (inputs[change_id][:2], float(value))
 
+    def _align_conflict_vectors(
+        self,
+        dirty: Set[ChangeId],
+        inputs: Mapping[ChangeId, _ChangeInputs],
+    ) -> None:
+        """Re-align the conflict vectors of ``dirty`` with their ancestors.
+
+        A change's vector follows its frozen ancestor tuple, which only a
+        dirty change can have moved (arrival, reorder).  The new vector
+        copies every pair already known from the pair cache, so no pair is
+        asked twice; the others stay ``None`` until the sweep needs them.
+        """
+        for change_id in dirty:
+            change_ancestors = inputs[change_id][2]
+            previous = self._prev_inputs.get(change_id)
+            if previous is not None and previous[2] == change_ancestors:
+                continue
+            known = self._p_conflict.get(change_id, {})
+            self._conflict_vectors[change_id] = [
+                known.get(ancestor_id) for ancestor_id in change_ancestors
+            ]
+
     def _incremental_commit_probabilities(
         self,
         order: Sequence[ChangeId],
+        dirty: Set[ChangeId],
+        cone: Set[ChangeId],
         ancestors: Mapping[ChangeId, Sequence[ChangeId]],
         inputs: Mapping[ChangeId, _ChangeInputs],
         records: Mapping[ChangeId, ChangeRecord],
         decided: Mapping[ChangeId, bool],
         changes_by_id: Mapping[ChangeId, Change],
-    ) -> Dict[ChangeId, float]:
-        """Dirty-set ``P_commit`` reusing last epoch outside the cone."""
-        dirty = {
-            cid for cid in order if self._prev_inputs.get(cid) != inputs[cid]
-        }
+    ) -> Tuple[Dict[ChangeId, float], Set[ChangeId]]:
+        """``P_commit`` re-swept inside ``cone``, last epoch's value outside.
+
+        Also returns the changes whose ``P_commit`` moved.
+        """
 
         def p_success(change_id: ChangeId) -> float:
             return self._cached_p_success(
@@ -484,34 +539,27 @@ class SpeculationEngine:
         def p_conflict(first_id: ChangeId, second_id: ChangeId) -> float:
             return self._cached_p_conflict(first_id, second_id, changes_by_id)
 
-        if self._seen_round:
-            cone = dirty_cone(order, ancestors, dirty)
-            recompute = [
-                cid for cid in order
-                if cid in cone or cid not in self._prev_probs
-            ]
-            self._batch_p_success(recompute, inputs, changes_by_id, records)
-            result, reused = estimate_commit_probabilities_incremental(
-                order,
-                ancestors,
-                p_success,
-                p_conflict,
-                decided,
-                previous=self._prev_probs,
-                dirty=dirty,
-            )
-        else:
-            self._batch_p_success(list(order), inputs, changes_by_id, records)
-            result = estimate_commit_probabilities(
-                order, ancestors, p_success, p_conflict, decided
-            )
-            reused = 0
+        self._batch_p_success(
+            [cid for cid in order if cid in cone], inputs, changes_by_id, records
+        )
+        self._align_conflict_vectors(dirty, inputs)
+        previous = self._prev_probs
+        result, reused = estimate_commit_probabilities_incremental(
+            order,
+            ancestors,
+            p_success,
+            p_conflict,
+            decided,
+            previous=previous,
+            cone=cone,
+            conflicts=self._conflict_vectors,
+        )
+        moved = {cid for cid in cone if result[cid] != previous.get(cid)}
         self.stats.commit_prob_reused += reused
         self.stats.commit_prob_recomputed += len(order) - reused
         self._prev_probs = {cid: result[cid] for cid in order}
         self._prev_inputs = dict(inputs)
-        self._seen_round = True
-        return result
+        return result, moved
 
     # -- selection ----------------------------------------------------------
 
@@ -553,56 +601,39 @@ class SpeculationEngine:
             self.stats.skipped_replans += 1
             return list(self._prev_selection)
 
-        commit_probabilities = self._incremental_commit_probabilities(
-            order, ancestors, inputs, records, decided, changes_by_id
+        dirty = {
+            cid for cid in order if self._prev_inputs.get(cid) != inputs[cid]
+        }
+        cone = dirty_cone(order, ancestors, dirty)
+        commit_probabilities, moved = self._incremental_commit_probabilities(
+            order, dirty, cone, ancestors, inputs, records, decided,
+            changes_by_id,
         )
 
-        # One lazy enumerator per pending change; merge via a max-heap of
-        # (negated value, tiebreak, change id).  ``tiebreak`` prefers
-        # earlier-submitted changes so equal-value builds respect queue
-        # order (Speculate-all degenerates to breadth-first this way).
-        # Enumerators whose inputs are unchanged are replayed with their
-        # memoized prefix + heap state instead of being rebuilt.
-        cursors: Dict[ChangeId, Iterator[SpeculationNode]] = {}
+        # Merge-heap entries are (negated value, queue position, change id,
+        # node); ``position`` breaks value ties toward earlier-submitted
+        # changes (Speculate-all degenerates to breadth-first this way) and
+        # is unique, so nodes are never compared.  A change's first entry
+        # carries node ``None``: its value stands in for the first node
+        # the change's enumerator would yield.  That value can only have
+        # moved for a dirty change or one with an ancestor whose P_commit
+        # moved; every other change keeps value and enumerator untouched.
         merge_heap: List = []
-        generated_before = 0
-        consumed = 0
         for position, change in enumerate(pending):
             change_id = change.change_id
-            all_ancestors = inputs[change_id][2]
-            pending_ancestors = [a for a in all_ancestors if a not in decided]
-            known_committed = frozenset(
-                a for a in all_ancestors if decided.get(a, False)
-            )
-            benefit = self._benefit(change)
-            signature = (
-                tuple(pending_ancestors),
-                tuple(commit_probabilities[a] for a in pending_ancestors),
-                known_committed,
-                benefit,
-            )
-            enumerator = self._enumerators.get(change_id)
-            if (
-                enumerator is not None
-                and self._enum_signatures.get(change_id) == signature
-            ):
-                self.stats.enumerators_reused += 1
-            else:
-                enumerator = SubsetEnumerator(
-                    change_id,
-                    pending_ancestors,
-                    commit_probabilities,
-                    known_committed=known_committed,
-                    benefit=benefit,
+            if change_id in dirty or not moved.isdisjoint(inputs[change_id][2]):
+                self._refresh_first_value(
+                    change, inputs[change_id], commit_probabilities
                 )
-                self._enumerators[change_id] = enumerator
-                self._enum_signatures[change_id] = signature
-                self.stats.enumerators_rebuilt += 1
-            generated_before += enumerator.generated_count
-            cursor = enumerator.replay()
-            cursors[change_id] = cursor
-            consumed += self._push_next(merge_heap, cursor, position, change_id)
+            merge_heap.append(
+                (-self._first_values[change_id], position, change_id, None)
+            )
+        heapq.heapify(merge_heap)
 
+        cursors: Dict[ChangeId, Iterator[SpeculationNode]] = {}
+        materialized: List[SubsetEnumerator] = []
+        generated_before = 0
+        consumed = 0
         selected: List[ScoredBuild] = []
         while merge_heap and len(selected) < budget:
             neg_value, position, change_id, node = heapq.heappop(merge_heap)
@@ -611,6 +642,13 @@ class SpeculationEngine:
                 # everything left is worthless too: stop, do not exhaust
                 # the exponential enumerators.
                 break
+            if node is None:
+                enumerator = self._enumerator_for(change_id, commit_probabilities)
+                materialized.append(enumerator)
+                generated_before += enumerator.generated_count
+                cursor = cursors[change_id] = enumerator.replay()
+                node = next(cursor)
+                consumed += 1
             consumed += self._push_next(
                 merge_heap, cursors[change_id], position, change_id
             )
@@ -618,9 +656,7 @@ class SpeculationEngine:
                 self._score(node, changes_by_id, inputs, decided, records)
             )
 
-        generated_after = sum(
-            self._enumerators[cid].generated_count for cid in order
-        )
+        generated_after = sum(e.generated_count for e in materialized)
         self._nodes_expanded = generated_after - generated_before
         # Every consumed node either came from a memoized prefix or was
         # generated fresh; the difference is exactly the replayed count.
@@ -629,17 +665,78 @@ class SpeculationEngine:
         self._prev_fingerprint = fingerprint
         self._prev_selection = list(selected)
         if self._recorder.enabled:
-            self._record_selection(pending, len(cursors), selected)
+            self._record_selection(pending, len(order), selected)
         return selected
+
+    def _refresh_first_value(
+        self,
+        change: Change,
+        change_inputs: _ChangeInputs,
+        commit_probabilities: Mapping[ChangeId, float],
+    ) -> None:
+        """Recompute a change's enumerator signature and first-node value.
+
+        A signature equal to the stored one keeps the stored value and
+        enumerator; a new one drops the enumerator, to be rebuilt if the
+        merge heap pops the change's first node.
+        """
+        change_id = change.change_id
+        all_ancestors, statuses = change_inputs[2], change_inputs[3]
+        pending_ancestors = tuple(
+            compress(all_ancestors, map(is_, statuses, repeat(None)))
+        )
+        probabilities = tuple(
+            map(commit_probabilities.__getitem__, pending_ancestors)
+        )
+        benefit = self._benefit(change)
+        signature = (
+            pending_ancestors,
+            probabilities,
+            frozenset(compress(all_ancestors, statuses)),
+            benefit,
+        )
+        if self._enum_signatures.get(change_id) == signature:
+            return
+        self._enum_signatures[change_id] = signature
+        self._first_values[change_id] = (
+            first_node_probability(probabilities) * benefit
+        )
+        self._enumerators.pop(change_id, None)
+
+    def _enumerator_for(
+        self,
+        change_id: ChangeId,
+        commit_probabilities: Mapping[ChangeId, float],
+    ) -> SubsetEnumerator:
+        """The change's carried enumerator, or a new one for its signature."""
+        enumerator = self._enumerators.get(change_id)
+        if enumerator is not None:
+            self.stats.enumerators_reused += 1
+            return enumerator
+        pending_ancestors, _, known_committed, benefit = self._enum_signatures[
+            change_id
+        ]
+        enumerator = SubsetEnumerator(
+            change_id,
+            pending_ancestors,
+            commit_probabilities,
+            known_committed=known_committed,
+            benefit=benefit,
+        )
+        self._enumerators[change_id] = enumerator
+        self.stats.enumerators_rebuilt += 1
+        return enumerator
 
     def _prune_departed(self, order: Sequence[ChangeId]) -> None:
         """Drop carry-over for changes no longer pending (decided/gone)."""
         current = set(order)
         for store in (
-            self._enumerators,
             self._enum_signatures,
+            self._first_values,
+            self._enumerators,
             self._p_success,
             self._p_conflict,
+            self._conflict_vectors,
         ):
             departed = [cid for cid in store if cid not in current]
             for cid in departed:

@@ -47,6 +47,9 @@ from repro.types import ChangeId
 
 #: Probability a change commits, per change id.
 CommitProbabilities = Dict[ChangeId, float]
+#: Per change, ``P_conf(ancestor, change)`` aligned with its ancestor list;
+#: ``None`` marks an entry not asked for yet.
+ConflictVectors = Dict[ChangeId, List[Optional[float]]]
 
 
 def _clamp(p: float) -> float:
@@ -59,28 +62,45 @@ def _sweep(
     p_success: Callable[[ChangeId], float],
     p_conflict: Callable[[ChangeId, ChangeId], float],
     result: CommitProbabilities,
+    conflicts: Optional[ConflictVectors] = None,
 ) -> None:
     """Worklist fixpoint over ``remaining``, writing into ``result``.
 
     With change reordering (section 10) the ancestor DAG need not follow
     submission order, so sweep until a fixpoint, processing each change
     once all its ancestors are known.
+
+    ``conflicts`` maps a change to its ``P_conf(ancestor, change)`` vector,
+    aligned with ``ancestors[change]``.  An entry is asked of
+    ``p_conflict`` the first time an ancestor with non-zero ``P_commit``
+    needs it and kept, so a caller that holds the vectors across sweeps
+    pays one lookup per pair instead of a predictor call.  Entries of
+    ancestors whose ``P_commit`` is 0 are never read.  Missing vectors are
+    created in ``conflicts``.
     """
+    if conflicts is None:
+        conflicts = {}
     while remaining:
         deferred: List[ChangeId] = []
         progressed = False
         for change_id in remaining:
-            pending_ancestors = [
-                a for a in ancestors.get(change_id, ()) if a not in result
-            ]
-            if pending_ancestors:
-                deferred.append(change_id)
+            change_ancestors = ancestors.get(change_id, ())
+            vector = conflicts.get(change_id)
+            if vector is None:
+                vector = conflicts[change_id] = [None] * len(change_ancestors)
+            ancestor_probs = list(map(result.get, change_ancestors))
+            if None in ancestor_probs:
+                deferred.append(change_id)  # an ancestor is not swept yet
                 continue
             p = p_success(change_id)
-            for ancestor_id in ancestors.get(change_id, ()):
-                p_anc = result[ancestor_id]
+            for index, p_anc in enumerate(ancestor_probs):
                 if p_anc > 0.0:
-                    p *= 1.0 - p_anc * p_conflict(ancestor_id, change_id)
+                    p_conf = vector[index]
+                    if p_conf is None:
+                        p_conf = vector[index] = p_conflict(
+                            change_ancestors[index], change_id
+                        )
+                    p *= 1.0 - p_anc * p_conf
             result[change_id] = _clamp(p)
             progressed = True
         if not progressed:
@@ -152,6 +172,8 @@ def estimate_commit_probabilities_incremental(
     decided: Optional[Mapping[ChangeId, bool]] = None,
     previous: Optional[Mapping[ChangeId, float]] = None,
     dirty: Optional[Iterable[ChangeId]] = None,
+    cone: Optional[Set[ChangeId]] = None,
+    conflicts: Optional[ConflictVectors] = None,
 ) -> "tuple[CommitProbabilities, int]":
     """Dirty-set ``P_commit`` estimation seeded by a previous epoch.
 
@@ -159,8 +181,11 @@ def estimate_commit_probabilities_incremental(
     names the changes whose inputs moved since (new arrivals, changed
     ancestor lists, refreshed ``P_succ``, newly decided ancestors).  Only
     the downstream cone of the dirty set is re-swept; everything else
-    reuses its previous value bit-for-bit.  Returns ``(result, reused)``
-    where ``reused`` counts the changes answered from ``previous``.
+    reuses its previous value bit-for-bit.  A caller that already holds
+    that cone passes it as ``cone`` instead of ``dirty``; ``conflicts``
+    carries conflict vectors across calls (see :func:`_sweep`).  Returns
+    ``(result, reused)`` where ``reused`` counts the changes answered
+    from ``previous``.
 
     The result is identical to :func:`estimate_commit_probabilities`
     provided ``previous`` itself came from the same recurrence and
@@ -168,14 +193,15 @@ def estimate_commit_probabilities_incremental(
     function of each change's inputs and its ancestors' values.
     """
     decided = decided or {}
-    if previous is None or dirty is None:
+    if previous is None or (dirty is None and cone is None):
         return (
             estimate_commit_probabilities(
                 order, ancestors, p_success, p_conflict, decided
             ),
             0,
         )
-    cone = dirty_cone(order, ancestors, dirty)
+    if cone is None:
+        cone = dirty_cone(order, ancestors, dirty)
     result: CommitProbabilities = {}
     for change_id, committed in decided.items():
         result[change_id] = 1.0 if committed else 0.0
@@ -189,7 +215,7 @@ def estimate_commit_probabilities_incremental(
         else:
             result[change_id] = previous[change_id]
             reused += 1
-    _sweep(remaining, ancestors, p_success, p_conflict, result)
+    _sweep(remaining, ancestors, p_success, p_conflict, result, conflicts)
     return result, reused
 
 

@@ -25,7 +25,17 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.types import BuildKey, ChangeId
 
@@ -42,6 +52,27 @@ class SpeculationNode:
     @property
     def change_id(self) -> ChangeId:
         return self.key.change_id
+
+
+def first_node_probability(commit_probabilities: Iterable[float]) -> float:
+    """``P_needed`` of a change's likeliest build, in O(k).
+
+    ``commit_probabilities`` are the change's pending ancestors' ``P_commit``
+    values, in pending-ancestor order; every ancestor takes its likelier
+    outcome.  :class:`SubsetEnumerator` computes its first node with this
+    very function, so the speculation engine can seed its merge heap with
+    the bit-identical value and build the enumerator only when that node
+    is popped.
+    """
+    probability = 1.0
+    for p in commit_probabilities:
+        # min(1.0, max(0.0, p)), spelled out: the builtins cost a call each.
+        if not p > 0.0:
+            p = 0.0
+        elif not p < 1.0:
+            p = 1.0
+        probability *= p if p >= 0.5 else 1.0 - p
+    return probability
 
 
 class SubsetEnumerator:
@@ -71,16 +102,15 @@ class SubsetEnumerator:
         self._benefit = benefit
 
         likely: List[Tuple[float, ChangeId, bool]] = []
-        base_probability = 1.0
         for ancestor_id in pending_ancestors:
-            p = commit_probabilities[ancestor_id]
-            p = min(1.0, max(0.0, p))
+            p = min(1.0, max(0.0, commit_probabilities[ancestor_id]))
             likelier = p >= 0.5
             best = p if likelier else 1.0 - p
-            worst = 1.0 - best
-            ratio = worst / best if best > 0.0 else 0.0
-            base_probability *= best
+            ratio = (1.0 - best) / best if best > 0.0 else 0.0
             likely.append((ratio, ancestor_id, likelier))
+        base_probability = first_node_probability(
+            commit_probabilities[a] for a in pending_ancestors
+        )
         # Cheapest flips first: descending ratio.
         likely.sort(key=lambda item: -item[0])
         self._ratios = [item[0] for item in likely]

@@ -244,6 +244,10 @@ class TestIncrementalProbabilities:
         assert dirty_cone(order, ancestors, {"b"}) == {"b", "c", "e"}
         assert dirty_cone(order, ancestors, {"d"}) == {"d", "e"}
         assert dirty_cone(order, ancestors, set()) == set()
+        # Reordered queues list a change ahead of its ancestor.
+        assert dirty_cone(["e", "d", "c", "b", "a"], ancestors, {"a"}) == {
+            "a", "b", "c", "e"
+        }
 
     def test_incremental_sweep_matches_full_and_counts_reuse(self):
         order = ["a", "b", "c", "d", "e"]
