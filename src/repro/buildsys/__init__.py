@@ -38,6 +38,7 @@ from repro.buildsys.loader import (
     render_build_file,
 )
 from repro.buildsys.steps import (
+    DirectiveIndex,
     StepResult,
     StepSpec,
     evaluate_step,
@@ -51,6 +52,7 @@ __all__ = [
     "BuildGraph",
     "BuildReport",
     "CacheStats",
+    "DirectiveIndex",
     "StepResult",
     "StepSpec",
     "Target",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.buildsys.steps import StepResult
 from repro.types import StepKind
@@ -51,10 +51,11 @@ class ArtifactCache:
         if capacity <= 0:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
-        # Each entry stores both spellings of the result — (un-cached as
-        # put, cached-marked as get returns) — so a hit hands back a stored
-        # object instead of allocating a dataclass copy per lookup.
-        self._entries: "OrderedDict[Tuple[str, StepKind], Tuple[StepResult, StepResult]]" = (
+        # Each entry is ``[result as put, cached-marked copy or None]``.
+        # The marked copy is made on the entry's first hit and kept, so a
+        # miss that is never hit allocates no copy and later hits hand back
+        # a stored object.
+        self._entries: "OrderedDict[Tuple[str, StepKind], List[Optional[StepResult]]]" = (
             OrderedDict()
         )
         self.stats = CacheStats()
@@ -71,13 +72,16 @@ class ArtifactCache:
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        return entry[1]
+        marked = entry[1]
+        if marked is None:
+            marked = entry[1] = replace(entry[0], cached=True)
+        return marked
 
     def put(self, digest: str, kind: StepKind, result: StepResult) -> None:
         """Store one step result (stored un-cached; ``get`` adds the mark)."""
         key = (digest, kind)
         stored = result if not result.cached else replace(result, cached=False)
-        self._entries[key] = (stored, replace(stored, cached=True))
+        self._entries[key] = [stored, None]
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -90,8 +94,8 @@ class ArtifactCache:
         order into an empty cache reproduces both contents and eviction
         order, which is how journal snapshots persist cache warmth.
         """
-        for key, (stored, _cached) in self._entries.items():
-            yield key, stored
+        for key, entry in self._entries.items():
+            yield key, entry[0]
 
     def clear(self) -> None:
         """Drop all entries; counters keep accumulating."""

@@ -1,8 +1,10 @@
 """The build executor: full, subset, affected-only, and context builds.
 
-Drives :func:`repro.buildsys.steps.evaluate_step` over a snapshot's graph
-in dependency-first order, consulting the artifact cache before every
-step.  Three entry points matter to SubmitQueue:
+Drives the synthetic steps of :mod:`repro.buildsys.steps` over a
+snapshot's graph in dependency-first order, consulting the artifact cache
+before every step and reading directives through one
+:class:`~repro.buildsys.steps.DirectiveIndex` per executor.  Three
+entry points matter to SubmitQueue:
 
 * :meth:`BuildExecutor.build` — everything (or a target subset plus its
   dependency closure): what "the mainline is green" means for one commit;
@@ -24,7 +26,7 @@ from repro.buildsys.cache import ArtifactCache
 from repro.buildsys.graph import BuildGraph
 from repro.buildsys.hashing import DigestMemo, TargetHasher, incremental_hashes
 from repro.buildsys.loader import load_build_graph, reload_packages
-from repro.buildsys.steps import StepResult, evaluate_step
+from repro.buildsys.steps import DirectiveIndex, StepResult, step_outcome
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.types import Path, TargetName
 
@@ -41,6 +43,10 @@ class BuildReport:
 
     results: List[StepResult] = field(default_factory=list)
     targets_built: List[TargetName] = field(default_factory=list)
+    #: Directive slots this build read as they stood / rebuilt; see
+    #: :class:`~repro.buildsys.steps.DirectiveIndex`.
+    directive_slots_reused: int = field(default=0, compare=False)
+    directive_slots_rebuilt: int = field(default=0, compare=False)
     _executed: int = field(default=0, init=False, repr=False, compare=False)
     _cached: int = field(default=0, init=False, repr=False, compare=False)
     _first_failure: Optional[StepResult] = field(
@@ -254,7 +260,12 @@ class BuildContext:
 
 
 class BuildExecutor:
-    """Executes build steps over snapshots, sharing one artifact cache."""
+    """Executes build steps over snapshots, sharing one artifact cache.
+
+    ``directives`` is the executor's directive index: a step-cache miss
+    reads its target's slot there, fetched once per target for all its
+    step kinds and rebuilt only when the target's digest moved.
+    """
 
     def __init__(
         self,
@@ -263,6 +274,7 @@ class BuildExecutor:
     ) -> None:
         self.cache = cache if cache is not None else ArtifactCache()
         self.recorder = recorder
+        self.directives = DirectiveIndex()
 
     def build(
         self,
@@ -342,20 +354,31 @@ class BuildExecutor:
     ) -> BuildReport:
         """``hasher``: a :class:`TargetHasher` or any name -> digest callable."""
         hash_of = hasher.hash_of if isinstance(hasher, TargetHasher) else hasher
+        cache = self.cache
+        directives = self.directives
+        reused, rebuilt = directives.reused, directives.rebuilt
         report = BuildReport()
         for name in order:
             target = graph.target(name)
             digest = hash_of(name)
             report.targets_built.append(name)
+            slot = None
             for kind in target.steps:
-                result = self.cache.get(digest, kind)
+                result = cache.get(digest, kind)
                 if result is None:
-                    result = evaluate_step(graph, target, kind, snapshot)
-                    self.cache.put(digest, kind, result)
+                    if slot is None:
+                        slot = directives.slot(graph, snapshot, name, hash_of)
+                    result = step_outcome(target, kind, slot)
+                    cache.put(digest, kind, result)
                 report.append(result)
                 if stop_on_failure and not result.passed:
-                    self.record_report(report)
-                    return report
+                    return self._finish(report, reused, rebuilt)
+        return self._finish(report, reused, rebuilt)
+
+    def _finish(self, report: BuildReport, reused: int, rebuilt: int) -> BuildReport:
+        """Stamp ``report`` with the slot counts since ``reused``/``rebuilt``."""
+        report.directive_slots_reused = self.directives.reused - reused
+        report.directive_slots_rebuilt = self.directives.rebuilt - rebuilt
         self.record_report(report)
         return report
 
@@ -382,3 +405,14 @@ class BuildExecutor:
         self.recorder.counter(
             "executor_targets_built_total", "Targets covered by builds."
         ).inc(len(report.targets_built))
+        self.recorder.counter(
+            "executor_directive_slots_reused_total",
+            "Directive slots read as they stood because their target digest "
+            "still matched (a step-cache miss's target, or a dependency of a "
+            "slot being rebuilt).",
+        ).inc(report.directive_slots_reused)
+        self.recorder.counter(
+            "executor_directive_slots_rebuilt_total",
+            "Directive slots rebuilt from own sources plus dependency slots "
+            "because their target digest moved.",
+        ).inc(report.directive_slots_rebuilt)

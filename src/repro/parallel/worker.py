@@ -14,7 +14,8 @@ applied exactly once, deterministically, when the parent replays the
 response through its own :class:`~repro.buildsys.cache.ArtifactCache` in
 selection order.  What workers *do* keep between requests is pure,
 outcome-neutral CPU state: memoized :class:`BuildContext` roots per base
-head and derived speculation-prefix contexts, the same O(delta)
+head, derived speculation-prefix contexts and a digest-keyed
+:class:`~repro.buildsys.steps.DirectiveIndex`, the same O(delta)
 machinery the serial controller uses (contexts are value holders; step
 results are functions of the merged snapshot alone, so cache warmth can
 never change an outcome — only how fast it is computed).
@@ -33,7 +34,7 @@ from collections import OrderedDict
 from typing import Dict, FrozenSet, List, Tuple
 
 from repro.buildsys.executor import BuildContext
-from repro.buildsys.steps import evaluate_step
+from repro.buildsys.steps import DirectiveIndex, step_outcome
 from repro.errors import PatchConflictError
 from repro.parallel.payload import BuildRequest, BuildResponse, StepRecord, WorkerSpan
 from repro.types import CommitId
@@ -48,12 +49,17 @@ _base_contexts: "OrderedDict[CommitId, BuildContext]" = OrderedDict()
 _prefix_contexts: "OrderedDict[Tuple[CommitId, FrozenSet[str]], BuildContext]" = (
     OrderedDict()
 )
+#: Directive slots per target, keyed by target digest like the parent
+#: executor's index, so they stay exact across requests and bases.
+_directives = DirectiveIndex()
 
 
 def reset_worker_state() -> None:
-    """Drop all memoized contexts (test isolation; never required)."""
+    """Drop all memoized contexts and directive slots (test isolation; never
+    required)."""
     _base_contexts.clear()
     _prefix_contexts.clear()
+    _directives.clear()
 
 
 def _remember(cache: OrderedDict, key, value, capacity: int) -> None:
@@ -68,6 +74,7 @@ def _base_context(request: BuildRequest) -> BuildContext:
     if context is None:
         context = BuildContext.load(request.base_snapshot)
         _remember(_base_contexts, request.base_commit_id, context, _BASE_CAPACITY)
+        _directives.trim(context.graph)
     else:
         _base_contexts.move_to_end(request.base_commit_id)
     return context
@@ -158,6 +165,7 @@ def execute_request(request: BuildRequest) -> BuildResponse:
             )
         _span("merge", "merge", merge_begin)
         order = merged.affected_against(base)
+        digest_of = merged.hashes.__getitem__
         targets: List[str] = []
         steps: List[StepRecord] = []
         failed = False
@@ -165,9 +173,14 @@ def execute_request(request: BuildRequest) -> BuildResponse:
             target = merged.graph.target(name)
             digest = merged.hashes[name]
             targets.append(name)
+            slot = None
             for kind in target.steps:
                 step_begin = time.perf_counter() - started
-                result = evaluate_step(merged.graph, target, kind, merged.snapshot)
+                if slot is None:  # inside the first step's span
+                    slot = _directives.slot(
+                        merged.graph, merged.snapshot, name, digest_of
+                    )
+                result = step_outcome(target, kind, slot)
                 steps.append(
                     StepRecord(
                         target=name,

@@ -146,6 +146,12 @@ class ExecutorReuseStats:
     targets_rehashed: int = 0
     #: Dirty-closure digests served from the base's digest memo instead.
     digests_served: int = 0
+    #: Directive slots read as they stood by inline builds, because their
+    #: target digest still matched (see
+    #: :class:`repro.buildsys.steps.DirectiveIndex`).
+    directive_slots_reused: int = 0
+    #: Directive slots inline builds rebuilt because a target digest moved.
+    directive_slots_rebuilt: int = 0
 
     @property
     def prefix_hit_rate(self) -> float:
@@ -313,6 +319,8 @@ class FullStackBuildController(BuildController):
                     self.base_commit_id,
                     advanced.as_root(self.BASE_FLATTEN_DEPTH),
                 )
+                # Targets only speculative graphs declared lose their slots.
+                self.executor.directives.trim(advanced.graph)
             if old_ctx is not None:
                 # No build merges onto the old head again: its digests die.
                 old_ctx.digest_memo.clear()
@@ -775,6 +783,8 @@ class FullStackBuildController(BuildController):
         return self._execution_from_report(key, report)
 
     def _execution_from_report(self, key: BuildKey, report) -> BuildExecution:
+        self.stats.directive_slots_reused += report.directive_slots_reused
+        self.stats.directive_slots_rebuilt += report.directive_slots_rebuilt
         duration = (
             report.steps_executed * self.step_minutes
             + report.steps_cached * self.cached_step_minutes

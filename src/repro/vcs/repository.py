@@ -1,9 +1,11 @@
 """The in-memory repository: commits, snapshots, and the mainline.
 
 Commits store layered deltas over their parent, so creating a speculative
-merge commit is O(size of patch), not O(size of repo).  Snapshot lookups
-walk the layer chain; :class:`Snapshot` also memoizes a flattened view once
-a full materialization is requested.
+merge commit is O(size of patch), not O(size of repo).  The repository
+keeps one flat file map for the mainline HEAD, updated in O(delta) per
+mainline commit, so a lookup on a HEAD snapshot is one dict hop; lookups
+on any other snapshot walk the layer chain.  :class:`Snapshot` also
+memoizes a flattened view once a full materialization is requested.
 
 The repository additionally tracks mainline *health* (green/red) per
 commit, which the trunk-based-development simulation (Figure 14) and the
@@ -53,8 +55,10 @@ class Snapshot(Mapping[Path, str]):
     """Read-only view of the tree at one commit.
 
     Implements the ``Mapping`` protocol so patches and the build system can
-    treat it like a plain dict.  Lookups walk the commit chain; iteration
-    and ``len`` flatten lazily and memoize.
+    treat it like a plain dict.  While the snapshot's commit is the
+    mainline HEAD, lookups read the repository's flat HEAD map; otherwise
+    they walk the commit chain.  Iteration and ``len`` flatten lazily and
+    memoize.
     """
 
     def __init__(self, repo: "Repository", commit_id: CommitId) -> None:
@@ -67,6 +71,9 @@ class Snapshot(Mapping[Path, str]):
         return self._commit_id
 
     def __getitem__(self, path: Path) -> str:
+        head_id, head_files = self._repo._head_files
+        if self._commit_id == head_id:
+            return head_files[path]
         commit_id: Optional[CommitId] = self._commit_id
         while commit_id is not None:
             commit = self._repo.commit(commit_id)
@@ -86,6 +93,11 @@ class Snapshot(Mapping[Path, str]):
 
     def _flatten(self) -> Dict[Path, str]:
         if self._flat is None:
+            head_id, head_files = self._repo._head_files
+            if self._commit_id == head_id:
+                # A copy: the HEAD map changes as the mainline advances.
+                self._flat = dict(head_files)
+                return self._flat
             layers: List[Commit] = []
             commit_id: Optional[CommitId] = self._commit_id
             while commit_id is not None:
@@ -147,6 +159,16 @@ class Repository:
         self._commits[root.commit_id] = root
         self._branches[self.MAINLINE] = root.commit_id
         self._mainline_history.append(root.commit_id)
+        #: ``(HEAD commit id, HEAD's files)``: the mainline HEAD tree as one
+        #: flat dict, advanced in place by :meth:`commit_to_mainline`.
+        self._head_files: Tuple[CommitId, Dict[Path, str]] = (
+            root.commit_id,
+            {
+                path: content
+                for path, content in root_delta.items()
+                if content is not None
+            },
+        )
 
     # -- commits ----------------------------------------------------------
 
@@ -235,6 +257,13 @@ class Repository:
         commit.green = green
         self._branches[self.MAINLINE] = commit.commit_id
         self._mainline_history.append(commit.commit_id)
+        files = self._head_files[1]
+        for path, content in commit.delta.items():
+            if content is None:
+                files.pop(path, None)
+            else:
+                files[path] = content
+        self._head_files = (commit.commit_id, files)
         return commit
 
     def mark_red(self, commit_id: CommitId) -> None:

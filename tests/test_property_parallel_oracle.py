@@ -21,7 +21,7 @@ from repro.strategies.submitqueue import SubmitQueueStrategy
 from repro.vcs.repository import Repository
 from repro.workload.repo_synth import MonorepoSpec, SyntheticMonorepo
 
-MAX_CHANGES = 6
+MAX_CHANGES = 8
 
 #: Minted exactly once (change ids come from a process-global counter);
 #: every mirrored run deep-copies a prefix over a private snapshot copy.
@@ -31,11 +31,17 @@ CHANGE_POOL = [
     _SYNTH.make_clean_change(
         target_name=_TARGETS[(3 * index) % len(_TARGETS)], submitted_at=0.0
     )
-    for index in range(MAX_CHANGES - 1)
+    for index in range(MAX_CHANGES - 3)
 ]
 CHANGE_POOL.append(
     _SYNTH.make_broken_change(target_name=_TARGETS[1], submitted_at=0.0)
 )
+#: Two halves planting one CONFLICT token each in a mid-layer target no
+#: other pool change edits: each passes alone, together they fail its
+#: tests and its dependents' (the worker-side directive index sees them
+#: under ``process:2``).  Early in the pool so most scripts hold both.
+PAIR = _SYNTH.make_conflicting_pair(target_name=_TARGETS[5], submitted_at=0.0)
+CHANGE_POOL[1:1] = PAIR
 FILES = _SYNTH.repo.snapshot().to_dict()
 
 
@@ -89,8 +95,9 @@ def test_parallel_backends_match_serial_oracle(script):
 
 def test_oracle_script_sanity():
     """A fixed dense script decides every change and stays green."""
-    script = [("submit", 0.0, False)] * 3 + [("enqueue", 1.0, True)] * 3
+    script = [("submit", 0.0, False)] * 4 + [("enqueue", 1.0, True)] * 4
     decisions, _ = _drive(None, script)
     assert len(decisions) == MAX_CHANGES
-    verdicts = dict((cid, ok) for cid, ok, _ in decisions)
-    assert sum(1 for ok in verdicts.values() if not ok) == 1  # the broken one
+    rejected = {cid for cid, ok, _ in decisions if not ok}
+    # The broken change, and the conflicting pair's second half.
+    assert rejected == {CHANGE_POOL[-1].change_id, PAIR[1].change_id}

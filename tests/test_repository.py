@@ -144,3 +144,91 @@ class TestAncestry:
         side = repo.make_commit(repo.head(), Patch.modifying({"a.py": "s"}))
         with pytest.raises(UnknownCommitError):
             repo.distance_to_mainline(side.commit_id)
+
+
+def _walk(repo, commit_id, path):
+    """Reference lookup: walk the commit chain newest-first."""
+    for cid in repo.ancestors(commit_id):
+        delta = repo.commit(cid).delta
+        if path in delta:
+            if delta[path] is None:
+                raise KeyError(path)
+            return delta[path]
+    raise KeyError(path)
+
+
+class TestHeadFiles:
+    """The flat HEAD map must answer exactly what the chain walk answers."""
+
+    COMMITS = 2100
+
+    @pytest.fixture
+    def long_mainline(self):
+        import random
+
+        rng = random.Random(7)
+        repo = Repository({f"f{i}.py": f"v0-{i}" for i in range(40)})
+        model = dict(repo.snapshot().to_dict())
+        checkpoints = {repo.head(): dict(model)}
+        held = {repo.head(): repo.snapshot()}
+        for step in range(self.COMMITS):
+            path = f"f{rng.randrange(60)}.py"
+            if path in model and rng.random() < 0.3:
+                patch = Patch.deleting([path])
+                del model[path]
+            elif path in model:
+                patch = Patch.modifying({path: f"v{step}"}, base=model)
+                model[path] = f"v{step}"
+            else:
+                patch = Patch.adding({path: f"v{step}"})
+                model[path] = f"v{step}"
+            repo.commit_to_mainline(patch)
+            if step % 300 == 0:
+                checkpoints[repo.head()] = dict(model)
+                held[repo.head()] = repo.snapshot()
+        return repo, model, checkpoints, held
+
+    def test_head_lookups_equal_chain_walk(self, long_mainline):
+        repo, model, _, _ = long_mainline
+        assert repo.mainline_length() > 2000
+        head = repo.snapshot()
+        for path in [f"f{i}.py" for i in range(60)] + ["never.py"]:
+            try:
+                expected = _walk(repo, head.commit_id, path)
+            except KeyError:
+                assert path not in model
+                assert path not in head
+                with pytest.raises(KeyError):
+                    head[path]
+                continue
+            assert head[path] == expected == model[path]
+        assert head.to_dict() == model
+
+    def test_head_lookup_is_one_hop(self, long_mainline, monkeypatch):
+        repo, model, _, _ = long_mainline
+        head = repo.snapshot()
+        walked = []
+        original = repo.commit
+        monkeypatch.setattr(
+            repo, "commit", lambda cid: walked.append(cid) or original(cid)
+        )
+        for path in model:
+            assert head[path] == model[path]
+        assert walked == []
+
+    def test_older_snapshots_keep_their_versions(self, long_mainline):
+        repo, _, checkpoints, held = long_mainline
+        for commit_id, expected in checkpoints.items():
+            for snapshot in (repo.snapshot(commit_id), held[commit_id]):
+                assert snapshot.to_dict() == expected
+                for path in [f"f{i}.py" for i in range(60)]:
+                    assert snapshot.get(path) == expected.get(path)
+
+    def test_side_commit_off_head_sees_its_own_delta(self, long_mainline):
+        repo, model, _, _ = long_mainline
+        path = sorted(model)[0]
+        side = repo.make_commit(repo.head(), Patch.deleting([path]))
+        side_view = repo.snapshot(side.commit_id)
+        with pytest.raises(KeyError):
+            side_view[path]
+        assert repo.snapshot()[path] == model[path]

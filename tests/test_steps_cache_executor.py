@@ -92,6 +92,18 @@ class TestArtifactCache:
         hit = cache.get("h1", StepKind.COMPILE)
         assert hit is not None and hit.passed and hit.cached
 
+    def test_marked_copy_made_on_first_hit_and_kept(self):
+        cache = ArtifactCache()
+        result = StepResult(StepSpec("//p:p", StepKind.COMPILE), False, "log")
+        cache.put("h1", StepKind.COMPILE, result)
+        assert list(cache.items()) == [(("h1", StepKind.COMPILE), result)]
+        hit = cache.get("h1", StepKind.COMPILE)
+        assert hit is not result and hit.cached
+        assert (hit.spec, hit.passed, hit.log) == (result.spec, False, "log")
+        assert cache.get("h1", StepKind.COMPILE) is hit
+        # items() keeps handing out the un-cached spelling after hits.
+        assert list(cache.items()) == [(("h1", StepKind.COMPILE), result)]
+
     def test_miss_counts(self):
         cache = ArtifactCache()
         assert cache.get("nope", StepKind.COMPILE) is None
